@@ -3,17 +3,19 @@ a campus at once.
 
 The production shape the serving layer is built for: a snapshot catalog
 holds one built index per venue, a `VenueRouter` keeps a bounded pool
-of thread-safe engines warm-started from it, and a `ServingFrontend`
-worker pool serves venue-tagged requests from many concurrent "users" —
-queries overlapping with live object updates, each answer delivered
-through a future.
+of thread-safe engines warm-started from it, and `router.execute`
+answers venue-tagged requests — called directly for ad-hoc queries,
+and from a thread pool for many concurrent "users" whose queries
+overlap with live object updates.
 
 Run:  python examples/multi_venue_server.py
 """
 
 import random
 import tempfile
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
+from types import SimpleNamespace
 
 from repro.datasets import (
     build_campus,
@@ -23,7 +25,7 @@ from repro.datasets import (
     random_objects,
     random_point,
 )
-from repro.serving import ServingFrontend, VenueRouter, concurrent_replay
+from repro.serving import Request, VenueRouter, concurrent_replay
 from repro.storage import SnapshotCatalog
 
 
@@ -51,25 +53,23 @@ def main():
         mix={"knn": 0.6, "distance": 0.25, "range": 0.15},
     )
 
-    with ServingFrontend(router, workers=4, queue_size=128) as frontend:
-        # Ad-hoc requests: one user per venue, answers via futures.
-        rng = random.Random(7)
-        futures = [
-            frontend.request(vid, "knn", source=random_point(space, rng), k=3)
-            for (space, _), vid in zip(venues, venue_ids)
-        ]
-        for (space, _), future in zip(venues, futures):
-            nearest = future.result()
-            pretty = ", ".join(f"#{n.object_id}@{n.distance:.1f}m" for n in nearest)
-            print(f"{space.name:15s} nearest 3: {pretty}")
+    # Ad-hoc requests: one user per venue, answered in-process.
+    rng = random.Random(7)
+    for (space, _), vid in zip(venues, venue_ids):
+        nearest = router.execute(Request(
+            venue=vid, kind="knn", source=random_point(space, rng), k=3))
+        pretty = ", ".join(f"#{n.object_id}@{n.distance:.1f}m" for n in nearest)
+        print(f"{space.name:15s} nearest 3: {pretty}")
 
-        # The full concurrent workload: every venue in flight at once.
-        _, report = concurrent_replay(frontend, dict(zip(venue_ids, streams)))
-        print(f"\nserved: {report.summary()}")
-        frontend.drain()
-        fstats = frontend.stats()
-        print(f"frontend: {fstats.submitted} submitted, {fstats.completed} ok, "
-              f"{fstats.failed} failed, {fstats.rejected} rejected")
+    # The full concurrent workload: every venue in flight at once,
+    # four threads sharing the router (router.execute is thread-safe).
+    with ThreadPoolExecutor(max_workers=4) as pool:
+        threads = SimpleNamespace(
+            submit=lambda request: pool.submit(router.execute, request),
+            workers=4,
+        )
+        _, report = concurrent_replay(threads, dict(zip(venue_ids, streams)))
+    print(f"\nserved: {report.summary()}")
 
     rstats = router.stats()
     print(f"router:   {rstats.venues} venues, {rstats.pooled} pooled engines, "

@@ -559,11 +559,11 @@ class QueryEngine:
         observes every update entirely or not at all."""
         timers = self._query_timers
         if timers is None:
-            return self._knn(query, k, self.ctx, stats)
+            return self._objects("knn", query, k, self.ctx, stats)
         self._kernel_counter.inc()
         start = perf_counter()
         try:
-            return self._knn(query, k, self.ctx, stats)
+            return self._objects("knn", query, k, self.ctx, stats)
         finally:
             timers["knn"].observe(perf_counter() - start)
 
@@ -575,11 +575,11 @@ class QueryEngine:
         observes every update entirely or not at all."""
         timers = self._query_timers
         if timers is None:
-            return self._range(query, radius, self.ctx, stats)
+            return self._objects("range", query, radius, self.ctx, stats)
         self._kernel_counter.inc()
         start = perf_counter()
         try:
-            return self._range(query, radius, self.ctx, stats)
+            return self._objects("range", query, radius, self.ctx, stats)
         finally:
             timers["range"].observe(perf_counter() - start)
 
@@ -612,14 +612,14 @@ class QueryEngine:
         independently, so updates may land between items (never within
         one)."""
         ctx = self._batch_ctx()
-        return [self._knn(q, k, ctx) for q in queries]
+        return [self._objects("knn", q, k, ctx) for q in queries]
 
     def batch_range(self, queries, radius: float) -> list[list[Neighbor]]:
         """Range results for each query point.
 
         Thread safety: as :meth:`batch_knn`."""
         ctx = self._batch_ctx()
-        return [self._range(q, radius, ctx) for q in queries]
+        return [self._objects("range", q, radius, ctx) for q in queries]
 
     # ------------------------------------------------------------------
     # Dynamic object updates — maintain the object store incrementally
@@ -900,20 +900,22 @@ class QueryEngine:
             raise QueryError(f"{type(index).__name__} does not support path queries")
         return PathResult(dist, list(doors))
 
-    def _knn(self, query, k: int, ctx, stats=None) -> list[Neighbor]:
-        # Object-dependent: the whole query (version check, cache
-        # consultation, tree search over the object index) runs under
-        # the read lock so no update mutates the embedding mid-search.
+    def _objects(self, kind: str, query, param, ctx, stats=None) -> list[Neighbor]:
+        """The object-dependent queries: ``kind`` is ``"knn"`` (``param``
+        = k) or ``"range"`` (``param`` = radius). The whole query
+        (version check, cache consultation, tree search over the object
+        index) runs under the read lock so no update mutates the
+        embedding mid-search."""
         with self._lock.read():
             self._check_object_version()
-            cache = self._knn_cache
+            cache = self._knn_cache if kind == "knn" else self._range_cache
             if cache is None:
                 with self._mutex:
-                    self._counts["knn"] += 1
-                return self._raw_knn(query, k, ctx, stats)
-            key = (endpoint_key(query), k)
+                    self._counts[kind] += 1
+                return self._raw_objects(kind, query, param, ctx, stats)
+            key = (endpoint_key(query), param)
             with self._mutex:
-                self._counts["knn"] += 1
+                self._counts[kind] += 1
                 hit = cache.get(key, _MISSING)
             if hit is not _MISSING:
                 if stats is not None:
@@ -924,87 +926,39 @@ class QueryEngine:
                 # closure; the entry is tagged with it so updates to
                 # other leaves leave it cached (None = tag ALL)
                 qstats = QueryStats()
-                res = self._raw_knn(query, k, ctx, qstats, collect_leaves=True)
+                res = self._raw_objects(kind, query, param, ctx, qstats,
+                                        collect_leaves=True)
                 if stats is not None:
                     stats.merge(qstats)
                 with self._mutex:
                     cache.put(key, tuple(res), qstats.result_leaves)
             else:
-                res = self._raw_knn(query, k, ctx, stats)
+                res = self._raw_objects(kind, query, param, ctx, stats)
                 with self._mutex:
                     cache[key] = tuple(res)
             return res
 
-    def _raw_knn(self, query, k: int, ctx, stats=None,
-                 collect_leaves: bool = False) -> list[Neighbor]:
+    def _raw_objects(self, kind: str, query, param, ctx, stats=None,
+                     collect_leaves: bool = False) -> list[Neighbor]:
         index = self.index
+        method = "knn" if kind == "knn" else "range_query"
         if self._is_tree:
             if self.object_index is None:
                 raise QueryError("engine has no object set; pass objects= to QueryEngine")
-            return index.knn(self.object_index, query, k, ctx, kernels=self.kernels,
-                             stats=stats, collect_leaves=collect_leaves)
+            return getattr(index, method)(
+                self.object_index, query, param, ctx, kernels=self.kernels,
+                stats=stats, collect_leaves=collect_leaves)
         if isinstance(index, DijkstraOracle):
             if self.objects is None:
                 raise QueryError("engine has no object set; pass objects= to QueryEngine")
-            ranked = index.knn(query, self.objects, k)
+            ranked = getattr(index, method)(query, self.objects, param)
         elif self._mx_objects is not None:
-            ranked = self._mx_objects.knn(query, k)
-        elif hasattr(index, "knn"):
-            ranked = index.knn(query, k)
+            ranked = getattr(self._mx_objects, method)(query, param)
+        elif hasattr(index, method):
+            ranked = getattr(index, method)(query, param)
         else:
-            raise QueryError(f"{type(index).__name__} does not support kNN queries")
-        return [Neighbor(object_id=oid, distance=d) for d, oid in ranked]
-
-    def _range(self, query, radius: float, ctx, stats=None) -> list[Neighbor]:
-        # Object-dependent: runs under the read lock, like _knn.
-        with self._lock.read():
-            self._check_object_version()
-            cache = self._range_cache
-            if cache is None:
-                with self._mutex:
-                    self._counts["range"] += 1
-                return self._raw_range(query, radius, ctx, stats)
-            key = (endpoint_key(query), radius)
-            with self._mutex:
-                self._counts["range"] += 1
-                hit = cache.get(key, _MISSING)
-            if hit is not _MISSING:
-                if stats is not None:
-                    stats.cache_hit = True
-                return list(hit)
-            if self._scoped_enabled:
-                # see _knn: tag the entry with its radius-ball closure
-                qstats = QueryStats()
-                res = self._raw_range(query, radius, ctx, qstats,
-                                      collect_leaves=True)
-                if stats is not None:
-                    stats.merge(qstats)
-                with self._mutex:
-                    cache.put(key, tuple(res), qstats.result_leaves)
-            else:
-                res = self._raw_range(query, radius, ctx, stats)
-                with self._mutex:
-                    cache[key] = tuple(res)
-            return res
-
-    def _raw_range(self, query, radius: float, ctx, stats=None,
-                   collect_leaves: bool = False) -> list[Neighbor]:
-        index = self.index
-        if self._is_tree:
-            if self.object_index is None:
-                raise QueryError("engine has no object set; pass objects= to QueryEngine")
-            return index.range_query(self.object_index, query, radius, ctx, kernels=self.kernels,
-                                     stats=stats, collect_leaves=collect_leaves)
-        if isinstance(index, DijkstraOracle):
-            if self.objects is None:
-                raise QueryError("engine has no object set; pass objects= to QueryEngine")
-            ranked = index.range_query(query, self.objects, radius)
-        elif self._mx_objects is not None:
-            ranked = self._mx_objects.range_query(query, radius)
-        elif hasattr(index, "range_query"):
-            ranked = index.range_query(query, radius)
-        else:
-            raise QueryError(f"{type(index).__name__} does not support range queries")
+            label = "kNN" if kind == "knn" else "range"
+            raise QueryError(f"{type(index).__name__} does not support {label} queries")
         return [Neighbor(object_id=oid, distance=d) for d, oid in ranked]
 
     # ------------------------------------------------------------------

@@ -10,19 +10,12 @@ usable alone:
   plus a length-prefixed canonical-JSON wire codec with bit-exact
   packed numerics. A query answered over a socket is element-wise
   identical to the same query answered in-process.
-* **Workers** — two transports behind that protocol:
-
-  * :class:`ServingFrontend` — **in-thread**: a worker-thread pool
-    draining a bounded request queue (backpressure) over a
-    :class:`VenueRouter`, one :class:`~concurrent.futures.Future` per
-    request. Threads overlap the blocking share of requests but the
-    GIL serializes the CPU-bound index math.
-  * :class:`~repro.serving.shard.ShardWorker` /
-    :class:`~repro.serving.shard.ShardProcess` — **one process per
-    shard**: the same router behind a socket, requests multiplexed
-    with per-request futures, a background
-    :class:`~repro.serving.router.PeriodicFlusher` for durability, and
-    flush-on-drain.
+* **Workers** — :class:`~repro.serving.shard.ShardWorker` /
+  :class:`~repro.serving.shard.ShardProcess`, **one process per
+  shard**: a router behind a socket, requests multiplexed with
+  per-request futures, a background
+  :class:`~repro.serving.router.PeriodicFlusher` for durability, and
+  flush-on-drain.
 * **Cluster** (:class:`ClusterFrontend`) — hash-partitions venue
   fingerprints across N shard processes: true multi-core scaling for
   the CPU-bound query math, crash restart from catalog snapshots (the
@@ -43,31 +36,32 @@ usable alone:
 :class:`~repro.engine.engine.QueryEngine` instances keyed by venue
 fingerprint, lazily warm-started from a
 :class:`~repro.storage.catalog.SnapshotCatalog` with eviction
-write-back — is the per-process serving unit both transports share.
-:func:`concurrent_replay` / :func:`sequential_replay` drive multi-venue
-workloads through either frontend; concurrent replay is guaranteed (and
-CI-checked by ``benchmarks/bench_serving.py``) to return element-wise
-identical answers to sequential replay, in-thread and across the
-cluster alike.
+write-back — is the per-process serving unit: its thread-safe
+:meth:`VenueRouter.execute` is the one in-process entry point, and
+every shard process runs one. :func:`concurrent_replay` /
+:func:`sequential_replay` drive multi-venue workloads; concurrent
+replay is guaranteed (and CI-checked by ``benchmarks/bench_serving.py``
+and ``tests/test_serving.py``) to return element-wise identical answers
+to sequential replay, across the cluster and over threads sharing one
+router alike.
 
 Thread-safety model (details in ``docs/serving.md``): engines guard
 object updates with a :class:`~repro.engine.locking.RWLock` (queries
 read-side, updates write-side) and their caches with a mutex; the
-router and frontend each add one mutex of their own. Lock ordering is
-frontend -> router -> engine/catalog, strictly acyclic. Every public
-method in this package is safe to call from any thread; per-method
-guarantees are documented on the methods themselves.
+router adds one mutex of its own. Lock ordering is router ->
+engine/catalog, strictly acyclic. Every public method in this package
+is safe to call from any thread; per-method guarantees are documented
+on the methods themselves.
 
-Quickstart (in-thread)::
+Quickstart (in-process)::
 
-    from repro.serving import ServingFrontend, VenueRouter
+    from repro.serving import Request, VenueRouter
     from repro.storage import SnapshotCatalog
 
     router = VenueRouter(SnapshotCatalog("snapshots/"), capacity=8)
     vid = router.add_venue(space, objects=objects)
-    with ServingFrontend(router, workers=4) as frontend:
-        future = frontend.request(vid, "knn", source=point, k=5)
-        neighbors = future.result()
+    neighbors = router.execute(Request(venue=vid, kind="knn",
+                                       source=point, k=5))
 
 Quickstart (sharded cluster — same requests, N processes)::
 
@@ -82,7 +76,6 @@ from .admission import AdmissionController, AdmissionStats, TokenBucket
 from .async_frontend import AsyncFrontDoor
 from .client import FrontDoorClient
 from .cluster import ClusterFrontend, ClusterStats
-from .frontend import FrontendStats, ServingFrontend
 from .protocol import (
     CONTROL_KINDS,
     BatchRequest,
@@ -122,7 +115,6 @@ __all__ = [
     "ErrorResponse",
     "FAULT_KINDS",
     "FrontDoorClient",
-    "FrontendStats",
     "HashRing",
     "MAX_BATCH_REQUESTS",
     "PeriodicFlusher",
@@ -132,7 +124,6 @@ __all__ = [
     "Request",
     "Response",
     "RouterStats",
-    "ServingFrontend",
     "ServingReport",
     "ServingRequest",
     "ShardProcess",

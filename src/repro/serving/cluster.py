@@ -9,9 +9,9 @@ catalog — and places venue fingerprints on them with a
 each venue's first ring successor is its **primary**, the next
 ``replication - 1`` distinct successors its **replicas**. Requests are
 venue-tagged :class:`~repro.serving.protocol.Request` objects (the
-same protocol the in-thread frontend speaks), answered through
-per-request futures; because shards are processes, the CPU-bound index
-math of different venues runs on different cores.
+same requests :meth:`VenueRouter.execute` takes in-process), answered
+through per-request futures; because shards are processes, the
+CPU-bound index math of different venues runs on different cores.
 
 Replication and durability (``replication`` / ``oplog``):
 
@@ -806,8 +806,7 @@ class ClusterFrontend:
     # ------------------------------------------------------------------
     @property
     def workers(self) -> int:
-        """Shard-process count — the cluster's parallelism. Named for
-        drop-in use where a :class:`ServingFrontend` is expected
+        """Shard-process count — the cluster's parallelism
         (:func:`~repro.serving.replay.concurrent_replay` reports it)."""
         return self.shards
 

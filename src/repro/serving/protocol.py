@@ -1,9 +1,9 @@
 """Serving protocol: serializable requests/responses + wire codec.
 
-Every serving transport — the in-thread
-:class:`~repro.serving.frontend.ServingFrontend`, a
-:class:`~repro.serving.shard.ShardWorker` process behind a socket, and
-the multi-process :class:`~repro.serving.cluster.ClusterFrontend` —
+Every serving path — in-process
+:meth:`VenueRouter.execute <repro.serving.router.VenueRouter.execute>`,
+a :class:`~repro.serving.shard.ShardWorker` process behind a socket,
+and the multi-process :class:`~repro.serving.cluster.ClusterFrontend` —
 speaks the same protocol defined here:
 
 * :class:`Request` — one venue-tagged query/update/control operation

@@ -10,12 +10,12 @@ or :class:`~repro.model.objects.UpdateOp`, e.g. from
   baseline.
 * :func:`concurrent_replay` — one submitter thread per venue feeding a
   frontend; all venues are in flight at once, queries of one
-  update-free block are in flight concurrently. The frontend may be an
-  in-thread :class:`~repro.serving.frontend.ServingFrontend` *or* a
-  multi-process :class:`~repro.serving.cluster.ClusterFrontend`
-  (cluster mode) — both expose ``submit``/``workers``, and the
-  equivalence guarantee below holds for both, because the wire
-  protocol round-trips answers bit-exactly.
+  update-free block are in flight concurrently. The frontend is
+  anything exposing ``submit``/``workers``: the multi-process
+  :class:`~repro.serving.cluster.ClusterFrontend`, or a thread pool
+  submitting ``router.execute`` calls — the equivalence guarantee below
+  holds for both, because ``VenueRouter.execute`` is thread-safe and
+  the wire protocol round-trips answers bit-exactly.
 
 **Equivalence guarantee.** Concurrent replay returns element-wise
 identical answers to sequential replay, because the only events whose
@@ -36,7 +36,6 @@ from concurrent.futures import Future
 from dataclasses import dataclass, field
 
 from ..model.objects import UpdateOp
-from .frontend import ServingFrontend
 from .router import ServingRequest, VenueRouter
 
 
@@ -105,9 +104,7 @@ def sequential_replay(
     )
 
 
-def _submit_venue(
-    frontend: ServingFrontend, venue: str, stream: list, slots: list
-) -> None:
+def _submit_venue(frontend, venue: str, stream: list, slots: list) -> None:
     """Submit one venue's stream, updates acting as barriers.
 
     ``slots`` is pre-sized; ``slots[i]`` receives event ``i``'s future.
@@ -151,12 +148,13 @@ def concurrent_replay(
     :func:`sequential_replay` over the same streams and initial state.
 
     ``frontend`` is anything with ``submit(request) -> Future`` and a
-    ``workers`` attribute — an in-thread
-    :class:`~repro.serving.frontend.ServingFrontend` or a sharded
+    ``workers`` attribute — a sharded
     :class:`~repro.serving.cluster.ClusterFrontend` (**cluster mode**:
-    same streams, N processes; compare answers through
+    same streams, N processes), or in-thread a stdlib
+    :class:`~concurrent.futures.ThreadPoolExecutor` whose ``submit``
+    runs ``router.execute``. Compare cluster answers through
     :func:`~repro.serving.protocol.result_to_doc`, which strips the
-    per-transport ``QueryStats``). The frontend must be started; it is
+    per-transport ``QueryStats``. The frontend must be started; it is
     left running (callers own its lifecycle). Raises the first
     request's exception if any event failed.
     """

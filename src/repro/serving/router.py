@@ -89,7 +89,7 @@ REQUEST_KINDS = QUERY_KINDS
 
 #: The router's request shape *is* the serving protocol's
 #: :class:`~repro.serving.protocol.Request` — one request object drives
-#: the in-thread frontend, the shard socket transport, and the cluster.
+#: in-process ``execute``, the shard socket transport, and the cluster.
 ServingRequest = Request
 
 
@@ -169,9 +169,8 @@ class VenueRouter:
             snapshot (see the module docstring): primaries append every
             applied update before acking, replicas tail the log, and
             warm starts replay the tail — zero acknowledged updates are
-            lost on a crash. Off by default (the single-process
-            frontends keep their snapshot-only durability window); the
-            cluster turns it on.
+            lost on a crash. Off by default (in-process use keeps its
+            snapshot-only durability window); the cluster turns it on.
         oplog_sync: fsync each appended record (the durability
             guarantee). ``False`` keeps replication working but lets a
             host power-loss eat the OS write-back window.
@@ -565,9 +564,8 @@ class VenueRouter:
         Raises:
             ServingError: unknown venue id or unknown request kind.
 
-        Thread safety: safe from any thread — this is the method the
-        :class:`~repro.serving.frontend.ServingFrontend` workers call
-        concurrently.
+        Thread safety: safe from any thread — the in-process serving
+        entry point; callers may share one router across a thread pool.
         """
         obs = current_observation()
         slowlog = self.slowlog
@@ -670,7 +668,9 @@ class VenueRouter:
         then durably append — all under the venue's log lock, so the
         logged version sequence exactly mirrors the applied one. The op
         is acknowledged only after the append returns, which is what
-        makes 'acknowledged' mean 'survives any crash'."""
+        makes 'acknowledged' mean 'survives any crash'. An in-sync
+        primary (tail unchanged since its own last append) skips the
+        catch-up, so an update costs one ``stat``, not a log parse."""
         if slot.role != "primary":
             raise ServingError(
                 f"venue {request.venue[:12]!r} is a read replica here; "
@@ -678,7 +678,8 @@ class VenueRouter:
             )
         state = self._log_state(request.venue, slot)
         with state.lock:
-            self._replay_locked(engine, state)
+            if state.log.tail_signature() != state.synced_sig:
+                self._replay_locked(engine, state)
             result = engine.update(request.op)
             state.log.append(engine.objects.version, request.op)
             state.synced_sig = state.log.tail_signature()
@@ -705,8 +706,7 @@ class VenueRouter:
         Dirty means updated since its last write-back — repeat flushes
         of an unchanged engine are no-ops, so periodic background
         flushes cost nothing at steady state. Returns the number of
-        snapshots written. Call during shutdown (the frontend's
-        ``shutdown`` does not flush automatically) or periodically for
+        snapshots written. Call during shutdown or periodically for
         durability. Engines stay pooled.
 
         Thread safety: safe concurrently with requests. Each engine is

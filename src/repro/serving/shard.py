@@ -7,7 +7,7 @@ snapshot catalog, and serves the wire protocol of
 :mod:`repro.serving.protocol` over one connected socket. Because each
 shard is a separate process with its own interpreter, the CPU-bound
 index math of different shards runs truly in parallel — the scaling
-the GIL denies to the in-thread :class:`ServingFrontend`.
+the GIL denies to threads sharing one in-process router.
 
 :class:`ShardProcess` is the **parent-side handle**: it spawns the
 child, connects the socket, and multiplexes concurrent requests over
@@ -15,7 +15,7 @@ it — each request gets a wire id and a
 :class:`~concurrent.futures.Future`; a reader thread matches replies
 (the worker answers strictly in order, ids make the pairing robust)
 and a bounded in-flight window (``max_inflight``) provides
-backpressure exactly like the frontend's bounded queue.
+backpressure.
 
 Lifecycle and durability:
 

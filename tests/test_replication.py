@@ -424,3 +424,71 @@ class TestRespawnRegistration:
             assert submits_before_first_result == len(ids)
             assert sorted(v for k, v in events if k == "submit") == sorted(ids)
             assert cluster.stats().restarts == 1
+
+
+# ----------------------------------------------------------------------
+# Primary update path: an in-sync primary does not re-read its own log
+# ----------------------------------------------------------------------
+class TestPrimaryLogReads:
+    def test_in_sync_primary_updates_do_not_rescan_the_log(
+            self, tmp_path, monkeypatch):
+        import repro.storage.oplog as oplog_module
+
+        space = build_mall("tiny", name="scan-mall")
+        rng = random.Random(37)
+        ops = [insert_op(space, rng) for _ in range(25)]
+        router = VenueRouter(SnapshotCatalog(tmp_path / "cat"), oplog=True,
+                             oplog_sync=False)
+        vid = router.add_venue(
+            space, objects=random_objects(space, 8, seed=91))
+        apply_all(router, vid, ops[:1])  # warm start + first append
+
+        scans = []
+        real_scan = oplog_module.scan_oplog
+
+        def counting_scan(path):
+            scans.append(path)
+            return real_scan(path)
+
+        monkeypatch.setattr(oplog_module, "scan_oplog", counting_scan)
+        apply_all(router, vid, ops[1:5])
+        after_short = len(scans)
+        apply_all(router, vid, ops[5:])
+        # parsing the log is per catch-up, not per acked update: 20 more
+        # updates cost no more scans than the first 4 did
+        assert len(scans) - after_short <= after_short
+        monkeypatch.undo()
+
+        local, lvid = baseline_router(tmp_path, space, objects_seed=91,
+                                      n_objects=8)
+        apply_all(local, lvid, ops)
+        probes = [random_point(space, random.Random(93))]
+        assert (answers(router.execute, vid, probes)
+                == answers(local.execute, lvid, probes))
+
+    def test_promoted_primary_catches_up_before_its_first_update(
+            self, tmp_path):
+        space = build_mall("tiny", name="promote-mall")
+        rng = random.Random(39)
+        ops = [insert_op(space, rng) for _ in range(7)]
+        probes = [random_point(space, random.Random(95))]
+        catalog = tmp_path / "cat"
+        old = VenueRouter(SnapshotCatalog(catalog), oplog=True)
+        vid = old.add_venue(space, objects=random_objects(space, 8, seed=97))
+        apply_all(old, vid, ops[:2])
+        replica = VenueRouter(SnapshotCatalog(catalog), oplog=True)
+        replica.add_venue(space, role="replica")
+        answers(replica.execute, vid, probes)  # in sync at version 2
+        replayed = replica.stats().log_replays
+        apply_all(old, vid, ops[2:6])  # the replica has not read these
+
+        replica.add_venue(space, role="primary")  # promotion
+        apply_all(replica, vid, ops[6:])
+        # caught up from the log tail, not re-warm-started from a snapshot
+        assert replica.stats().warm_starts == 1
+        assert replica.stats().log_replays - replayed == 4
+        local, lvid = baseline_router(tmp_path, space, objects_seed=97,
+                                      n_objects=8)
+        apply_all(local, lvid, ops)
+        assert (answers(replica.execute, vid, probes)
+                == answers(local.execute, lvid, probes))
