@@ -9,7 +9,9 @@ computed level-(l-1) distances. Because leaf matrices come from the full
 graph, all matrix distances are globally exact.
 
 This module also derives the **superior doors** of each partition
-(paper Definition 2) from the same Dijkstra shortest-path trees.
+(paper Definition 2) from the same Dijkstra shortest-path trees, and the
+per-leaf door x door matrices query-time code derives lazily from a
+built tree (:func:`leaf_door_matrix`).
 """
 
 from __future__ import annotations
@@ -18,6 +20,8 @@ from ..graph.adjacency import Graph
 from ..graph.dijkstra import dijkstra
 from ..model.indoor_space import IndoorSpace
 from .table import NO_DOOR, DistanceTable
+
+INF = float("inf")
 
 
 def _walk_to_source(parent: dict[int, int], start: int, source: int) -> list[int]:
@@ -124,6 +128,55 @@ def compute_leaf_tables(
             superior[pid] = sorted(sup)
 
     return tables, superior
+
+
+def leaf_door_matrix(d2d: Graph, leaf_table: DistanceTable) -> DistanceTable:
+    """Exact door x door distances among the doors of one leaf.
+
+    A shortest path between two doors of a leaf either stays on the
+    leaf's own doors, where Floyd-Warshall over the D2D edges among them
+    finds it, or it leaves the leaf, which it can only do through one of
+    the leaf's access doors ``a``. The leaf table's entries are exact
+    over the full graph, so ``T[du, a] + T[dv, a]`` is no longer than
+    any such path. Each entry is the smaller of the two, which makes it
+    exact without a search on the full graph: O(n^3 + n^2 * rho) for a
+    leaf of n doors and rho access doors. Next hops are not derived
+    (every entry is ``NO_DOOR``).
+    """
+    doors = leaf_table.row_doors
+    index = leaf_table.row_index
+    n = len(doors)
+    m = [[INF] * n for _ in range(n)]
+    for i, u in enumerate(doors):
+        row = m[i]
+        row[i] = 0.0
+        for v, w in d2d.neighbors(u):
+            j = index.get(v)
+            if j is not None and w < row[j]:
+                row[j] = w
+    for k in range(n):
+        # row k does not change in round k; its infinite entries never
+        # improve anything
+        via_k = [(j, y) for j, y in enumerate(m[k]) if y != INF]
+        for ri in m:
+            dik = ri[k]
+            if dik != INF:
+                for j, y in via_k:
+                    v = dik + y
+                    if v < ri[j]:
+                        ri[j] = v
+    # float(): a snapshot-restored (mmap) table's rows are numpy views
+    exits = [[float(v) for v in leaf_table.row(d)] for d in doors]
+    for i in range(n):
+        ei = exits[i]
+        row = m[i]
+        for j in range(n):
+            best = row[j]
+            for a, b in zip(ei, exits[j]):
+                if a + b < best:
+                    best = a + b
+            row[j] = best
+    return DistanceTable.from_rows(doors, doors, m)
 
 
 def build_level_graph(

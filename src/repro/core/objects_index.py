@@ -53,10 +53,14 @@ class ObjectIndex:
         self.access_lists: dict[int, dict[int, list[tuple[float, int]]]] = {}
         #: node id -> number of objects in the subtree (absent == 0)
         self.node_counts: dict[int, int] = {}
-        #: object id -> (leaf id, {access door -> exact distance}); lets
+        #: object id -> (leaf id, {access door -> exact distance},
+        #: ((partition door, point-to-door distance), ...)); lets
         #: deletion locate its access-list entries with a bisect instead
-        #: of a scan
-        self._entries: dict[int, tuple[int, dict[int, float]]] = {}
+        #: of a scan, and query-leaf searches read the object's exits
+        #: without recomputing them
+        self._entries: dict[
+            int, tuple[int, dict[int, float], tuple[tuple[int, float], ...]]
+        ] = {}
         #: update operations applied since construction (monotone)
         self.updates = 0
         for obj in objects:
@@ -70,18 +74,21 @@ class ObjectIndex:
     # ------------------------------------------------------------------
     # Construction / incremental maintenance
     # ------------------------------------------------------------------
-    def _door_distances(self, obj, leaf_id: int) -> dict[int, float]:
+    def _partition_offsets(self, location: IndoorPoint) -> tuple[tuple[int, float], ...]:
+        """``(door, point-to-door distance)`` for every door of the
+        location's partition: the only ways out of it."""
+        space = self.tree.space
+        return tuple([
+            (dv, space.point_to_door_distance(location, dv))
+            for dv in space.partitions[location.partition_id].door_ids
+        ])
+
+    def _door_distances(self, offsets, leaf_id: int) -> dict[int, float]:
         """Exact dist(a, o) for every access door ``a`` of the leaf: leave
-        the object's partition through any of its doors (matrix distances
-        are globally exact)."""
-        tree = self.tree
-        space = tree.space
-        node = tree.nodes[leaf_id]
+        the object's partition through any of its doors (``offsets``;
+        matrix distances are globally exact)."""
+        node = self.tree.nodes[leaf_id]
         table = node.table
-        part_doors = space.partitions[obj.location.partition_id].door_ids
-        offsets = [
-            (dv, space.point_to_door_distance(obj.location, dv)) for dv in part_doors
-        ]
         out: dict[int, float] = {}
         for a in node.access_doors:
             best = INF
@@ -95,7 +102,8 @@ class ObjectIndex:
     def _register(self, obj, *, bubble_counts: bool = True) -> None:
         tree = self.tree
         leaf_id = tree.leaf_node_of_partition[obj.location.partition_id]
-        dists = self._door_distances(obj, leaf_id)
+        offsets = self._partition_offsets(obj.location)
+        dists = self._door_distances(offsets, leaf_id)
         self.leaf_objects.setdefault(leaf_id, []).append(obj.object_id)
         per_door = self.access_lists.get(leaf_id)
         if per_door is None:
@@ -103,13 +111,13 @@ class ObjectIndex:
             self.access_lists[leaf_id] = per_door
         for a, d in dists.items():
             insort(per_door[a], (d, obj.object_id))
-        self._entries[obj.object_id] = (leaf_id, dists)
+        self._entries[obj.object_id] = (leaf_id, dists, offsets)
         if bubble_counts:
             for nid in tree.chain_of_leaf(leaf_id):
                 self.node_counts[nid] = self.node_counts.get(nid, 0) + 1
 
     def _unregister(self, object_id: int, *, bubble_counts: bool = True) -> int:
-        leaf_id, dists = self._entries.pop(object_id)
+        leaf_id, dists, _ = self._entries.pop(object_id)
         self.leaf_objects[leaf_id].remove(object_id)
         per_door = self.access_lists[leaf_id]
         for a, d in dists.items():
@@ -195,7 +203,7 @@ class ObjectIndex:
             "node_counts": [list(kv) for kv in sorted(self.node_counts.items())],
             "entries": [
                 [oid, leaf, [[door, d] for door, d in sorted(dists.items())]]
-                for oid, (leaf, dists) in sorted(self._entries.items())
+                for oid, (leaf, dists, _) in sorted(self._entries.items())
             ],
         }
 
@@ -218,8 +226,14 @@ class ObjectIndex:
             for leaf, per_door in state["access_lists"]
         }
         index.node_counts = {nid: count for nid, count in state["node_counts"]}
+        # the partition-door offsets are not persisted: they cost one
+        # point-to-door distance per door to derive again
         index._entries = {
-            oid: (leaf, {door: d for door, d in dists})
+            oid: (
+                leaf,
+                {door: d for door, d in dists},
+                index._partition_offsets(objects[oid].location),
+            )
             for oid, leaf, dists in state["entries"]
         }
         return index
@@ -238,12 +252,17 @@ class ObjectIndex:
             raise QueryError(f"object {object_id} is not in the index")
         return self._entries[object_id][0]
 
+    def partition_offsets(self, object_id: int) -> tuple[tuple[int, float], ...]:
+        """``((door, point-to-door distance), ...)`` over the doors of
+        the object's partition."""
+        return self._entries[object_id][2]
+
     def memory_bytes(self) -> int:
         total = 16 * sum(len(v) for v in self.leaf_objects.values())
         for per_door in self.access_lists.values():
             total += 24 * sum(len(lst) for lst in per_door.values())
         total += 16 * len(self.node_counts)
-        total += 24 * sum(len(d) for _, d in self._entries.values())
+        total += 24 * sum(len(d) + len(o) for _, d, o in self._entries.values())
         return total
 
     def __len__(self) -> int:

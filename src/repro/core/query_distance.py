@@ -2,10 +2,14 @@
 
 Query endpoints are arbitrary :class:`~repro.model.entities.IndoorPoint`
 locations or door ids. When both endpoints fall in the same leaf, the
-distance comes from a Dijkstra expansion on the D2D graph (as in the
-paper); otherwise Algorithm 2 climbs the tree computing distances from
-each endpoint to the access doors of the children of the lowest common
-ancestor, and Algorithm 3 combines them through the LCA's matrix.
+paper runs a Dijkstra expansion on the D2D graph; here the distance is
+an O(|doors(a)| * |doors(b)|) lookup in that leaf's exact door x door
+matrix (:meth:`~repro.core.tree.IPTree.leaf_door_matrix`), and only
+same-leaf *path* queries still expand on the graph
+(:func:`same_leaf_expansion`), for its parent map. Otherwise Algorithm 2
+climbs the tree computing distances from each endpoint to the access
+doors of the children of the lowest common ancestor, and Algorithm 3
+combines them through the LCA's matrix.
 """
 
 from __future__ import annotations
@@ -158,30 +162,56 @@ def get_distances(
     return known, pred, chain_map
 
 
-def same_leaf_distance(
-    tree: "IPTree", ea: Endpoint, eb: Endpoint
-) -> tuple[float, dict[int, float], dict[int, int], int]:
-    """Distance when both endpoints share a leaf: Dijkstra on the D2D
-    graph with virtual sources (paper §3.1.1 first paragraph).
-
-    Returns ``(distance, dist_map, parent_map, best_target_door)`` so the
-    path query can reuse the expansion. ``best_target_door`` is -1 when
-    the direct intra-partition segment wins (same-partition endpoints).
-    """
-    space = tree.space
-    direct = INF
+def _direct_distance(tree: "IPTree", ea: Endpoint, eb: Endpoint) -> float:
+    """The straight intra-partition segment between two points of one
+    partition; INF for any other pair."""
     if (
         not ea.is_door
         and not eb.is_door
         and ea.partition == eb.partition
     ):
-        direct = space.direct_point_distance(ea.point, eb.point)
+        return tree.space.direct_point_distance(ea.point, eb.point)
+    return INF
+
+
+def same_leaf_distance(
+    tree: "IPTree", ea: Endpoint, eb: Endpoint, leaf_id: int
+) -> float:
+    """Distance when both endpoints lie in leaf ``leaf_id``: ``min over
+    du, dv of off_a[du] + M[du, dv] + off_b[dv]`` over the leaf's exact
+    door matrix ``M``, or the direct segment when it is shorter. Both
+    endpoints' offset doors are doors of the leaf, so no search runs.
+    """
+    if ea.is_door and eb.is_door and ea.door == eb.door:
+        return 0.0
+    mat = tree.leaf_door_matrix(leaf_id)
+    col = mat.col_index
+    targets = [(col[dv], off) for dv, off in eb.offsets.items()]
+    best = _direct_distance(tree, ea, eb)
+    for du, off_a in ea.offsets.items():
+        row = mat.row(du)
+        for j, off_b in targets:
+            d = off_a + row[j] + off_b
+            if d < best:
+                best = d
+    return best
+
+
+def same_leaf_expansion(
+    tree: "IPTree", ea: Endpoint, eb: Endpoint
+) -> tuple[float, dict[int, float], dict[int, int], int]:
+    """Same-leaf *path* support: Dijkstra on the D2D graph with virtual
+    sources (paper §3.1.1 first paragraph), kept for its parent map.
+
+    Returns ``(distance, dist_map, parent_map, best_target_door)``.
+    ``best_target_door`` is -1 when the direct intra-partition segment
+    wins (same-partition endpoints).
+    """
     if ea.is_door and eb.is_door and ea.door == eb.door:
         return 0.0, {}, {}, ea.door
 
-    targets = set(eb.offsets)
-    dist, parent = dijkstra(tree.d2d, dict(ea.offsets), targets=set(targets))
-    best = direct
+    dist, parent = dijkstra(tree.d2d, dict(ea.offsets), targets=set(eb.offsets))
+    best = _direct_distance(tree, ea, eb)
     best_door = -1
     for dv, off in eb.offsets.items():
         d = dist.get(dv, INF) + off
@@ -217,8 +247,7 @@ def shortest_distance(
     shared = set(ea.leaves) & set(eb.leaves)
     if shared:
         stats.same_leaf = True
-        best, _, _, _ = same_leaf_distance(tree, ea, eb)
-        return DistanceResult(best, stats)
+        return DistanceResult(same_leaf_distance(tree, ea, eb, min(shared)), stats)
 
     leaf_a, leaf_b = ea.leaves[0], eb.leaves[0]
     lca, ns, nt = tree.lca_info(leaf_a, leaf_b)

@@ -24,7 +24,9 @@ import heapq
 from typing import TYPE_CHECKING
 
 from ..exceptions import QueryError
-from ..graph.dijkstra import dijkstra
+# not called here any more; kept as a module name because perfbench's
+# traced run times graph searches by patching ``query_knn.dijkstra``
+from ..graph.dijkstra import dijkstra  # noqa: F401
 from .objects_index import ObjectIndex
 from .query_distance import Endpoint
 from .results import Neighbor, QueryStats
@@ -130,47 +132,27 @@ class _Search:
 
         Yields ``(distance, object_id)`` pairs in ascending
         ``(distance, object_id)`` order for non-query leaves (the query
-        leaf's Dijkstra branch is unordered). Every yielded distance is
+        leaf's stream is in object order). Every yielded distance is
         the object's exact minimum over all access doors, so consumers
         may tighten the bound immediately. The leaf containing q is
-        handled exactly with a Dijkstra expansion on the D2D graph;
-        other leaves merge the per-door sorted object lists by ascending
+        resolved exactly through its door matrix
+        (:meth:`_query_leaf_objects`), with no graph search; other
+        leaves merge the per-door sorted object lists by ascending
         total distance and stop once the smallest outstanding total
         exceeds the bound (entries *equal* to the bound are kept — ties
-        at the k-th distance must reach the caller).
+        at the k-th distance must reach the caller). Both kernel
+        backends share the query-leaf code, so it cannot make them
+        diverge.
         """
         if not callable(bound):
             fixed = bound
             bound = lambda: fixed  # noqa: E731
-        tree = self.tree
         index = self.index
         oids = index.objects_in_leaf(leaf_id)
         if not oids:
             return
         if leaf_id == self.leaf_q:
-            space = tree.space
-            targets: set[int] = set()
-            parts = {index.objects[oid].location.partition_id for oid in oids}
-            for pid in parts:
-                targets.update(space.partitions[pid].door_ids)
-            dist, _ = dijkstra(tree.d2d, dict(self.endpoint.offsets), targets=targets)
-            for oid in oids:
-                obj = index.objects[oid]
-                pid = obj.location.partition_id
-                best = INF
-                for dv in space.partitions[pid].door_ids:
-                    d = dist.get(dv, INF) + space.point_to_door_distance(obj.location, dv)
-                    if d < best:
-                        best = d
-                if (
-                    not self.endpoint.is_door
-                    and pid == self.endpoint.partition
-                ):
-                    direct = space.direct_point_distance(self.endpoint.point, obj.location)
-                    if direct < best:
-                        best = direct
-                if best <= bound():
-                    yield best, oid
+            yield from self._query_leaf_objects(oids, bound)
         else:
             dq = self.node_dists[leaf_id]
             if self.kernels is not None:
@@ -209,11 +191,55 @@ class _Search:
                     d, o = lst[i]
                     heapq.heappush(heap, (bases[si] + d, o, si, i))
 
+    def _query_leaf_objects(self, oids, bound):
+        """Exact distances to the objects of q's own leaf.
 
-def contributing_leaves(search: _Search, bound: float) -> frozenset:
-    """The conservative bound-ball leaf closure of a finished search:
-    every leaf ``L`` with ``mindist(q, L) <= bound``, plus the query
-    leaf (whose mindist is 0 by containment).
+        ``dist(q, o) = min over q's offset doors du and o's partition
+        doors dv of off_q[du] + M[du, dv] + off_o[dv]``, with ``M`` the
+        leaf's exact door matrix — plus the direct segment when q is a
+        point in o's partition. Both door sets lie in the leaf, so this
+        equals the paper's Dijkstra expansion. The q -> door term is
+        computed once per door this query needs; the object offsets come
+        from the object index.
+        """
+        tree = self.tree
+        index = self.index
+        endpoint = self.endpoint
+        mat = tree.leaf_door_matrix(self.leaf_q)
+        col = mat.col_index
+        sources = [(off, mat.row(du)) for du, off in endpoint.offsets.items()]
+        direct_pid = None if endpoint.is_door else endpoint.partition
+        to_door: dict[int, float] = {}
+        for oid in oids:
+            best = INF
+            for dv, off in index.partition_offsets(oid):
+                dq = to_door.get(dv)
+                if dq is None:
+                    j = col[dv]
+                    dq = INF
+                    for off_q, row in sources:
+                        d = off_q + row[j]
+                        if d < dq:
+                            dq = d
+                    to_door[dv] = dq
+                d = dq + off
+                if d < best:
+                    best = d
+            if direct_pid is not None:
+                loc = index.objects[oid].location
+                if loc.partition_id == direct_pid:
+                    direct = tree.space.direct_point_distance(endpoint.point, loc)
+                    if direct < best:
+                        best = direct
+            if best <= bound():
+                yield best, oid
+
+
+def contributing_leaves(search: _Search, bound: float) -> int:
+    """The conservative bound-ball leaf closure of a finished search, as
+    a leaf bitmask (bit ``i`` for leaf id ``i``): every leaf ``L`` with
+    ``mindist(q, L) <= bound``, plus the query leaf (whose mindist is 0
+    by containment).
 
     This is the invalidation contract behind the engine's leaf-scoped
     result caches: an object anywhere else is at distance strictly
@@ -227,13 +253,13 @@ def contributing_leaves(search: _Search, bound: float) -> frozenset:
     that are empty today still receive tomorrow's inserts.
     """
     tree = search.tree
-    leaves = {search.leaf_q}
+    leaves = 1 << search.leaf_q
     stack = [tree.root_id]
     while stack:
         nid = stack.pop()
         node = tree.nodes[nid]
         if node.is_leaf:
-            leaves.add(nid)
+            leaves |= 1 << nid
             continue
         for cid in node.children:
             if cid in search.chain_pos:
@@ -242,7 +268,7 @@ def contributing_leaves(search: _Search, bound: float) -> frozenset:
             dists = search.child_distances(nid, cid)
             if min(dists.values(), default=INF) <= bound:
                 stack.append(cid)
-    return frozenset(leaves)
+    return leaves
 
 
 def knn(

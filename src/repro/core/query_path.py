@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from ..graph.dijkstra import dijkstra, path_from_parents
-from .query_distance import Endpoint, get_distances, same_leaf_distance
+from .query_distance import Endpoint, get_distances, same_leaf_expansion
 from .results import PathResult, QueryStats
 from .table import NO_DOOR
 
@@ -127,7 +127,7 @@ def shortest_path(
     shared = set(ea.leaves) & set(eb.leaves)
     if shared:
         stats.same_leaf = True
-        best, dist_map, parent, best_door = same_leaf_distance(tree, ea, eb)
+        best, dist_map, parent, best_door = same_leaf_expansion(tree, ea, eb)
         if best_door == -1:
             # Direct intra-partition segment (or unreachable, which a
             # connected venue rules out).

@@ -16,24 +16,27 @@ class QueryStats:
     superior_pairs: int = 0
     #: tree nodes touched (kNN/range)
     nodes_visited: int = 0
-    #: priority-queue pops (kNN/range/Dijkstra fallbacks)
+    #: priority-queue pops of the best-first kNN/range search
     heap_pops: int = 0
     #: access-list entries examined while combining leaf objects
     #: (kNN/range); the live pruning bound shrinks this as results
     #: tighten mid-leaf
     list_entries_scanned: int = 0
-    #: True when the query was answered by the same-leaf Dijkstra fallback
+    #: True when both endpoints shared a leaf, so the answer came from
+    #: that leaf's door matrix (distance) or a D2D expansion (path)
+    #: instead of a tree climb
     same_leaf: bool = False
     #: True when the engine answered from its result/distance cache
     #: (the other counters then describe zero work — the cached entry's
     #: original cost was counted when it was computed)
     cache_hit: bool = False
     #: the conservative set of leaf ids whose objects could have
-    #: contributed to a kNN/range answer (the bound-ball closure),
-    #: captured only when the search is asked to (``collect_leaves=``);
-    #: ``None`` means "not captured" / "depends on every leaf". Engine-
-    #: internal — the wire stats document does not carry it.
-    result_leaves: frozenset | None = None
+    #: contributed to a kNN/range answer (the bound-ball closure), as a
+    #: bitmask with bit ``i`` set for leaf id ``i``; captured only when
+    #: the search is asked to (``collect_leaves=``). ``None`` means "not
+    #: captured" / "depends on every leaf". Engine-internal — the wire
+    #: stats document does not carry it.
+    result_leaves: int | None = None
 
     def merge(self, other: "QueryStats") -> "QueryStats":
         """Fold ``other``'s work into this object (counters add, flags
@@ -41,8 +44,9 @@ class QueryStats:
         out-parameters and batch totals. Returns ``self``.
 
         ``result_leaves`` is per-answer state, not a counter: merging
-        keeps the union only when both sides captured a set, and
-        poisons to ``None`` (conservative "all leaves") otherwise.
+        keeps the union (bitwise or) only when both sides captured a
+        mask, and poisons to ``None`` (conservative "all leaves")
+        otherwise.
         """
         self.pairs_considered += other.pairs_considered
         self.superior_pairs += other.superior_pairs

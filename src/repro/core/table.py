@@ -37,6 +37,16 @@ class DistanceTable:
         self._hop = [[NO_DOOR] * ncols for _ in self.row_doors]
         self._np_dist = None
 
+    @classmethod
+    def from_rows(
+        cls, row_doors: list[int], col_doors: list[int], rows: list[list[float]]
+    ) -> "DistanceTable":
+        """Wrap precomputed distance rows (taken over, not copied); every
+        next hop is :data:`NO_DOOR`."""
+        table = cls(row_doors, col_doors)
+        table._dist = rows
+        return table
+
     # ------------------------------------------------------------------
     def set_entry(self, row_door: int, col_door: int, dist: float, hop: int = NO_DOOR) -> None:
         """Record distance and next-hop for ``row_door -> col_door``."""
@@ -56,6 +66,11 @@ class DistanceTable:
 
     def covers(self, row_door: int, col_door: int) -> bool:
         return row_door in self.row_index and col_door in self.col_index
+
+    def row(self, row_door: int) -> list[float]:
+        """One row's distances, indexed by :attr:`col_index` (read-only
+        by convention: it is the table's own storage)."""
+        return self._dist[self.row_index[row_door]]
 
     def row_distances(self, row_door: int) -> dict[int, float]:
         """All column distances for one row door."""

@@ -22,7 +22,12 @@ from ..model.d2d import build_d2d_graph
 from ..model.entities import DEFAULT_DELTA
 from ..model.indoor_space import IndoorSpace
 from .leaves import build_leaves, leaf_access_doors, leaf_door_sets
-from .matrices import build_level_graph, compute_group_table, compute_leaf_tables
+from .matrices import (
+    build_level_graph,
+    compute_group_table,
+    compute_leaf_tables,
+    leaf_door_matrix,
+)
 from .merging import create_next_level, merged_access_doors
 from .table import DistanceTable
 
@@ -101,6 +106,9 @@ class IPTree:
         for node in nodes:
             if node.is_leaf:
                 self._chains[node.nid] = self._compute_chain(node.nid)
+        #: leaf id -> door x door matrix, derived on first use
+        #: (:meth:`leaf_door_matrix`)
+        self._door_matrices: dict[int, DistanceTable] = {}
 
     # ------------------------------------------------------------------
     # Construction
@@ -265,7 +273,8 @@ class IPTree:
         door->leaf maps, superior doors and the D2D graph — so
         :meth:`from_state` restores a ready-to-query tree with **zero
         rebuild**. Derived-in-constructor state (depths, ancestor
-        chains) is recomputed on load in O(nodes).
+        chains) is recomputed on load in O(nodes); the per-leaf door
+        matrices are derived again on first use.
         """
         return {
             "delta": self.delta,
@@ -359,6 +368,24 @@ class IPTree:
     def chain_of_leaf(self, leaf_id: int) -> list[int]:
         """Ancestor chain leaf -> root (inclusive)."""
         return self._chains[leaf_id]
+
+    def leaf_door_matrix(self, leaf_id: int) -> DistanceTable:
+        """Exact door x door distances among one leaf's doors (rows ==
+        columns == the leaf table's row doors), the lookup behind every
+        query whose endpoints or objects share a leaf.
+
+        Derived from the leaf's D2D edges and its table on first use
+        and memoised (see :func:`repro.core.matrices.leaf_door_matrix`),
+        never persisted: it costs under a millisecond per leaf, so
+        paying it lazily keeps build time, snapshot format and restore
+        unchanged. Concurrent first uses may both derive it; the
+        results are equal, and the last one stays.
+        """
+        mat = self._door_matrices.get(leaf_id)
+        if mat is None:
+            mat = leaf_door_matrix(self.d2d, self.nodes[leaf_id].table)
+            self._door_matrices[leaf_id] = mat
+        return mat
 
     def leaf_of_point_partition(self, partition_id: int) -> int:
         return self.leaf_node_of_partition[partition_id]
@@ -460,7 +487,10 @@ class IPTree:
         return total
 
     def total_memory_bytes(self) -> int:
-        """Index + D2D graph (needed for same-leaf queries, §2.1.3)."""
+        """Index + D2D graph (§2.1.3: the leaf door matrices behind
+        same-leaf queries are derived from it, and same-leaf path
+        queries expand on it). The lazily derived matrices themselves
+        are query-time state and are not counted."""
         return self.memory_bytes() + self.d2d.memory_bytes()
 
     # ------------------------------------------------------------------

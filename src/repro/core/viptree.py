@@ -227,7 +227,7 @@ class VIPTree(IPTree):
 
     def shortest_path(self, source, target, ctx=None) -> PathResult:
         """Shortest path via materialized tables (expected O(ρ² + w))."""
-        from .query_distance import same_leaf_distance
+        from .query_distance import same_leaf_expansion
         from .query_path import _dedupe, backtrack_chain, decompose_edge
         from .results import QueryStats
 
@@ -242,7 +242,7 @@ class VIPTree(IPTree):
         shared = set(ea.leaves) & set(eb.leaves)
         if shared:
             stats.same_leaf = True
-            best, _, parent, best_door = same_leaf_distance(self, ea, eb)
+            best, _, parent, best_door = same_leaf_expansion(self, ea, eb)
             if best_door == -1:
                 return PathResult(best, [], stats)
             if ea.is_door and eb.is_door and ea.door == eb.door:

@@ -6,23 +6,26 @@ with one piece of metadata per entry — the set of tree leaf ids whose
 objects could have contributed to the cached answer (the conservative
 bound-ball closure computed by
 :func:`repro.core.query_knn.contributing_leaves` and its vectorized
-kernel twin) — plus the inverted index ``leaf id -> cache keys`` that
-makes :meth:`TaggedLRUCache.invalidate_leaves` proportional to the
-number of entries actually affected, not the cache size.
+kernel twin). A tag is one python int with bit ``i`` set for leaf id
+``i``, so :meth:`TaggedLRUCache.invalidate_leaves` is one ``tag & mask``
+per live entry and a put stores one int — no per-leaf bookkeeping.
+Leaf ids are small dense integers (a tree numbers its leaves ``0 ..
+M-1``), so a mask is M bits.
 
 Tag semantics:
 
-* ``frozenset`` of leaf ids — the entry is invalidated exactly when one
-  of those leaves' object population changes;
+* a non-negative int mask (or, at :meth:`TaggedLRUCache.put`, any
+  iterable of leaf ids) — the entry is invalidated exactly when one of
+  those leaves' object population changes;
 * ``None`` ("ALL") — the entry's dependency set is unknown or unbounded
   (e.g. a kNN that returned fewer than k results, whose effective bound
   is infinite), so *any* update invalidates it. Plain ``cache[key] =
   value`` writes get this conservative tag; use :meth:`put` to attach a
   real one.
 
-Thread safety: none here — the engine guards the cache (tags and
-inverted index included) with its existing cache mutex, exactly as it
-does for the untagged caches.
+Thread safety: none here — the engine guards the cache (tags included)
+with its existing cache mutex, exactly as it does for the untagged
+caches.
 """
 
 from __future__ import annotations
@@ -31,7 +34,30 @@ from typing import Hashable, Iterable
 
 from .cache import LRUCache
 
-__all__ = ["TaggedLRUCache"]
+__all__ = ["TaggedLRUCache", "leaf_mask", "mask_leaves"]
+
+#: the stored tag of an ALL entry: every bit set, so it meets any mask
+_ALL = -1
+
+
+def leaf_mask(leaves: int | Iterable[int]) -> int:
+    """The bitmask of an iterable of leaf ids (an int passes through)."""
+    if isinstance(leaves, int):
+        return leaves
+    mask = 0
+    for leaf_id in leaves:
+        mask |= 1 << leaf_id
+    return mask
+
+
+def mask_leaves(mask: int) -> frozenset:
+    """The leaf ids set in a non-negative mask."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return frozenset(out)
 
 
 class TaggedLRUCache(LRUCache):
@@ -39,71 +65,47 @@ class TaggedLRUCache(LRUCache):
 
     All :class:`LRUCache` semantics are preserved — LRU bound, lifetime
     ``hits``/``misses``/``evictions`` counters, ``clear`` keeping the
-    counters — and the tag bookkeeping is kept exactly consistent with
-    the entry population: overwrites, LRU evictions, ``clear`` and both
-    ``invalidate_*`` methods untag whatever they drop, so the inverted
-    index never holds keys that are no longer cached.
+    counters — and the tags stay exactly consistent with the entry
+    population: overwrites, LRU evictions, ``clear`` and both
+    ``invalidate_*`` methods drop the tag with the entry.
     """
 
-    __slots__ = ("_tags", "_by_leaf", "_all_keys")
+    __slots__ = ("_tags",)
 
     def __init__(self, maxsize: int = 4096) -> None:
         super().__init__(maxsize)
-        #: key -> frozenset of leaf ids, or None for ALL
-        self._tags: dict[Hashable, frozenset | None] = {}
-        #: inverted index: leaf id -> keys of live entries tagged with it
-        self._by_leaf: dict[int, set] = {}
-        #: keys of live ALL-tagged entries (dropped by every invalidation)
-        self._all_keys: set = set()
+        #: key -> leaf bitmask, or _ALL
+        self._tags: dict[Hashable, int] = {}
 
     # ------------------------------------------------------------------
-    def _untag(self, key: Hashable) -> None:
-        if key not in self._tags:
-            return
-        tag = self._tags.pop(key)
-        if tag is None:
-            self._all_keys.discard(key)
-            return
-        by = self._by_leaf
-        for leaf_id in tag:
-            keys = by.get(leaf_id)
-            if keys is not None:
-                keys.discard(key)
-                if not keys:
-                    del by[leaf_id]
-
-    def put(self, key: Hashable, value, leaves: frozenset | None) -> None:
-        """Store ``key -> value`` tagged with ``leaves`` (``None`` =
-        ALL). The LRU bound applies as in ``__setitem__``; evicted
-        entries are untagged."""
+    def put(self, key: Hashable, value, leaves: int | Iterable[int] | None) -> None:
+        """Store ``key -> value`` tagged with ``leaves``: a leaf
+        bitmask, an iterable of leaf ids, or ``None`` (ALL). The LRU
+        bound applies as in ``__setitem__``; evicted entries lose their
+        tags."""
         data = self._data
+        tags = self._tags
         if key in data:
-            self._untag(key)
             data.move_to_end(key)
         data[key] = value
         if self.maxsize > 0:
             while len(data) > self.maxsize:
                 old, _ = data.popitem(last=False)
-                self._untag(old)
+                del tags[old]
                 self.evictions += 1
-        self._tags[key] = leaves
-        if leaves is None:
-            self._all_keys.add(key)
-        else:
-            by = self._by_leaf
-            for leaf_id in leaves:
-                by.setdefault(leaf_id, set()).add(key)
+        tags[key] = _ALL if leaves is None else leaf_mask(leaves)
 
     def __setitem__(self, key: Hashable, value) -> None:
         # untagged writes depend on everything until told otherwise
         self.put(key, value, None)
 
     def leaves_of(self, key: Hashable) -> frozenset | None:
-        """The tag of a live entry (``None`` = ALL); raises ``KeyError``
-        for keys not currently cached."""
+        """The tag of a live entry as a set of leaf ids (``None`` =
+        ALL); raises ``KeyError`` for keys not currently cached."""
         if key not in self._data:
             raise KeyError(key)
-        return self._tags[key]
+        tag = self._tags[key]
+        return None if tag < 0 else mask_leaves(tag)
 
     # ------------------------------------------------------------------
     def invalidate_leaves(self, leaf_ids: Iterable[int]) -> int:
@@ -112,15 +114,17 @@ class TaggedLRUCache(LRUCache):
         every leaf. Entries tagged only with other leaves survive.
         Returns the number of entries dropped (counters untouched, as
         with :meth:`clear`)."""
-        victims = set(self._all_keys)
-        by = self._by_leaf
-        for leaf_id in leaf_ids:
-            keys = by.get(leaf_id)
-            if keys:
-                victims.update(keys)
+        tags = self._tags
+        if not tags:
+            return 0
+        mask = leaf_mask(leaf_ids)
+        if mask:
+            victims = [key for key, tag in tags.items() if tag & mask]
+        else:
+            victims = [key for key, tag in tags.items() if tag < 0]
         data = self._data
         for key in victims:
-            self._untag(key)
+            del tags[key]
             del data[key]
         return len(victims)
 
@@ -133,12 +137,10 @@ class TaggedLRUCache(LRUCache):
     def clear(self) -> None:
         super().clear()
         self._tags.clear()
-        self._by_leaf.clear()
-        self._all_keys.clear()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"TaggedLRUCache(size={len(self._data)}/{self.maxsize}, "
-            f"leaves={len(self._by_leaf)}, all={len(self._all_keys)}, "
+            f"all={sum(1 for t in self._tags.values() if t < 0)}, "
             f"hits={self.hits}, misses={self.misses})"
         )

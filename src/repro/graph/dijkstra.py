@@ -2,10 +2,12 @@
 
 All index-construction steps of the paper (§2.1.2) are phrased as
 "Dijkstra's like expansion until all doors in ... have been reached"; the
-query baselines (DistAw) and the same-leaf fallback of the trees are
-Dijkstra expansions with virtual sources. This module provides those
-primitives with early termination, parent tracking (for next-hop doors)
-and first-hop tracking (for the DistMx path matrix).
+query baselines (DistAw), the oracle and the trees' same-leaf *path*
+queries are Dijkstra expansions with virtual sources (the trees answer
+same-leaf distance, kNN and range work from per-leaf door matrices
+instead, see :func:`repro.core.matrices.leaf_door_matrix`). This module
+provides those primitives with early termination, parent tracking (for
+next-hop doors) and first-hop tracking (for the DistMx path matrix).
 """
 
 from __future__ import annotations

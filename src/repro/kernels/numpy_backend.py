@@ -23,7 +23,7 @@ a tolerance. The rules that make it hold:
   evaluation-order independent, so the distances — and therefore the
   ``(distance, object_id)``-lexicographic result sets — are bit-identical
   to the best-first reference even though the traversal order differs.
-  (The query leaf's Dijkstra branch is the reference code, reused.)
+  (The query leaf's door-matrix branch is the reference code, reused.)
 
 Instances cache derived array forms (index arrays per tree node, packed
 access lists per object-index version, materialized VIP climb matrices,
@@ -41,6 +41,16 @@ from ..core.results import Neighbor
 
 INF = float("inf")
 _INTP = np.intp
+
+
+def _neighbors(oids, dists) -> list[Neighbor]:
+    """Result objects from aligned id/distance arrays, converted to
+    python ints and floats in one ``tolist`` each (indexing numpy
+    scalars one by one costs more than the whole conversion)."""
+    return [
+        Neighbor(object_id=oid, distance=d)
+        for oid, d in zip(oids.tolist(), dists.tolist())
+    ]
 
 
 class NumpyKernels:
@@ -75,6 +85,8 @@ class NumpyKernels:
         # flat_slot_idx, reduceat_starts) — the vectorized bound-ball
         # closure (leaf mindist mask) reads these
         self._eg_leaf_seg = None
+        # bits in a leaf tag: one past the largest leaf id
+        self._eg_leaf_bits = 0
 
     # ------------------------------------------------------------------
     # Lemmas 8/9: child expansion
@@ -217,6 +229,9 @@ class NumpyKernels:
             np.asarray(lslots, dtype=_INTP),
             np.asarray(lstarts, dtype=_INTP),
         )
+        self._eg_leaf_bits = 1 + max(
+            nid for nid, node in enumerate(tree.nodes) if node.is_leaf
+        )
         self._eg_slots = slots
         self._eg_doors = doors
         self._eg_nslots = base
@@ -344,7 +359,7 @@ class NumpyKernels:
     def _eager_distances(self, search):
         """Exact distance to every object as ``(distances, object_ids,
         slot_vals)`` arrays; the query leaf goes through the reference
-        Dijkstra branch, everything else through the propagation
+        door-matrix branch, everything else through the propagation
         program. ``slot_vals`` is the propagated per-(node, door)
         distance vector — the leaf-ball closure reads it."""
         tree = search.tree
@@ -392,10 +407,11 @@ class NumpyKernels:
             oids = uniq
         return dists, oids, vals
 
-    def _eager_leaf_ball(self, search, vals, bound: float) -> frozenset:
-        """Vectorized bound-ball leaf closure: leaves whose minimum
-        access-door distance in the propagated slot vector is
-        ``<= bound``, plus the query leaf (mindist 0 by containment).
+    def _eager_leaf_ball(self, search, vals, bound: float) -> int:
+        """Vectorized bound-ball leaf closure as a leaf bitmask: leaves
+        whose minimum access-door distance in the propagated slot vector
+        is ``<= bound``, plus the query leaf (mindist 0 by containment).
+        The flags are packed little-endian, so bit ``i`` is leaf ``i``.
 
         Same contract as :func:`repro.core.query_knn.contributing_leaves`
         and deliberately independent of the access-list *candidate* mask:
@@ -403,13 +419,13 @@ class NumpyKernels:
         cached answer, because an insert there could change it.
         """
         leaf_ids, slot_idx, starts = self._eg_leaf_seg
-        leaves = {search.leaf_q}
+        flags = np.zeros(self._eg_leaf_bits, dtype=bool)
         if leaf_ids.size:
             mind = np.minimum.reduceat(vals[slot_idx], starts)
-            leaves.update(
-                int(lid) for lid in leaf_ids[mind <= bound].tolist()
-            )
-        return frozenset(leaves)
+            flags[leaf_ids[mind <= bound]] = True
+        flags[search.leaf_q] = True
+        packed = np.packbits(flags, bitorder="little")
+        return int.from_bytes(packed.tobytes(), "little")
 
     def knn_full(self, search, k: int):
         """Whole-query kNN: the k lexicographically smallest
@@ -429,10 +445,7 @@ class NumpyKernels:
                 if order.size >= k
                 else None
             )
-        return [
-            Neighbor(object_id=int(oids[i]), distance=float(dists[i]))
-            for i in order.tolist()
-        ]
+        return _neighbors(oids[order], dists[order])
 
     def range_full(self, search, radius: float):
         """Whole-query range: every object with distance <= radius,
@@ -452,7 +465,4 @@ class NumpyKernels:
         sub_d = dists[sel]
         sub_o = oids[sel]
         order = np.lexsort((sub_o, sub_d))
-        return [
-            Neighbor(object_id=int(sub_o[i]), distance=float(sub_d[i]))
-            for i in order.tolist()
-        ]
+        return _neighbors(sub_o[order], sub_d[order])

@@ -24,6 +24,7 @@ from repro.core.query_range import range_query
 from repro.core.results import QueryStats
 from repro.datasets import random_objects, random_point
 from repro.engine import QueryEngine, TaggedLRUCache
+from repro.engine.invalidation import leaf_mask, mask_leaves
 from repro.exceptions import QueryError
 from repro.kernels import HAVE_NUMPY, NumpyKernels
 from repro.testing import sample_points
@@ -83,7 +84,7 @@ class TestTaggedLRUCache:
         cache.put("b", 2, frozenset({1}))
         cache.put("c", 3, frozenset({1}))  # evicts "a"
         assert cache.evictions == 1 and "a" not in cache
-        # the evicted key must be gone from the inverted index too
+        # the evicted key's tag must be gone with it
         assert cache.invalidate_leaves({1}) == 2
 
     def test_invalidate_all_and_clear_reset_tags(self):
@@ -105,6 +106,106 @@ class TestTaggedLRUCache:
         assert cache.hits == 1 and cache.misses == 1
 
 
+    def test_put_accepts_mask_or_iterable(self):
+        cache = TaggedLRUCache(8)
+        cache.put("mask", 1, leaf_mask({3, 70}))
+        cache.put("list", 2, [3, 70])
+        cache.put("set", 3, frozenset({3, 70}))
+        for key in ("mask", "list", "set"):
+            assert cache.leaves_of(key) == frozenset({3, 70})
+        assert cache.invalidate_leaves([69]) == 0
+        assert cache.invalidate_leaves([70]) == 3
+
+    def test_empty_invalidation_drops_only_all_entries(self):
+        cache = TaggedLRUCache(8)
+        cache.put("all", 1, None)
+        cache.put("leaf", 2, frozenset({0}))
+        cache.put("none", 3, frozenset())
+        assert cache.invalidate_leaves(()) == 1
+        assert set(cache._data) == {"leaf", "none"}
+
+
+_LEAF_IDS = st.integers(min_value=0, max_value=70)  # masks past 64 bits
+_TAGS = st.one_of(st.none(), st.frozensets(_LEAF_IDS, max_size=8))
+_KEYS = st.integers(min_value=0, max_value=11)
+_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("put"), _KEYS, st.integers(), _TAGS,
+                  st.sampled_from(["set", "mask", "list"])),
+        st.tuples(st.just("setitem"), _KEYS, st.integers()),
+        st.tuples(st.just("get"), _KEYS),
+        st.tuples(st.just("invalidate"), st.frozensets(_LEAF_IDS, max_size=4)),
+        st.tuples(st.just("invalidate_all")),
+        st.tuples(st.just("clear")),
+    ),
+    max_size=60,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(maxsize=st.integers(min_value=1, max_value=8), ops=_OPS)
+def test_tagged_cache_matches_set_semantics_model(maxsize, ops):
+    """Random put/overwrite/evict/clear/invalidate sequences: the
+    bitmask cache drops exactly the keys a plain set-semantics model
+    drops (an entry goes when its tag meets the invalidated leaves, or
+    is ALL), keeps the model's LRU order, and reports the model's tags."""
+    from collections import OrderedDict
+
+    cache = TaggedLRUCache(maxsize)
+    model: OrderedDict = OrderedDict()  # key -> (value, frozenset | None)
+
+    def store(key, value, tag):
+        model.pop(key, None)
+        model[key] = (value, tag)
+        while len(model) > maxsize:
+            model.popitem(last=False)
+
+    for op in ops:
+        name = op[0]
+        if name == "put":
+            _, key, value, tag, form = op
+            arg = tag
+            if tag is not None and form == "mask":
+                arg = leaf_mask(tag)
+            elif tag is not None and form == "list":
+                arg = sorted(tag)
+            cache.put(key, value, arg)
+            store(key, value, tag)
+        elif name == "setitem":
+            _, key, value = op
+            cache[key] = value
+            store(key, value, None)
+        elif name == "get":
+            key = op[1]
+            want = model[key][0] if key in model else None
+            assert cache.get(key) == want
+            if key in model:
+                model.move_to_end(key)
+        elif name == "invalidate":
+            leaves = op[1]
+            victims = [k for k, (_, tag) in model.items()
+                       if tag is None or tag & leaves]
+            for k in victims:
+                del model[k]
+            assert cache.invalidate_leaves(leaves) == len(victims)
+        elif name == "invalidate_all":
+            assert cache.invalidate_all() == len(model)
+            model.clear()
+        else:
+            cache.clear()
+            model.clear()
+        assert list(cache._data) == list(model)
+        assert set(cache._tags) == set(model)
+        for key, (_, tag) in model.items():
+            assert cache.leaves_of(key) == tag
+
+
+def test_mask_round_trip():
+    for leaves in (frozenset(), frozenset({0}), frozenset({1, 63, 64, 200})):
+        assert mask_leaves(leaf_mask(leaves)) == leaves
+    assert leaf_mask(5) == 5
+
+
 # ----------------------------------------------------------------------
 # Leaf-ball capture: both backends agree on the conservative closure
 # ----------------------------------------------------------------------
@@ -112,9 +213,19 @@ class TestTaggedLRUCache:
 @pytest.mark.parametrize("kind", list(TREE_KINDS))
 @pytest.mark.parametrize("venue", VENUES)
 def test_backends_capture_identical_leaf_balls(built, venue, kind):
+    """Both backends tag an answer with the same leaf bitmask: an int
+    whose set bits are leaf ids, the query's own leaf among them."""
     space, tree = built[venue, kind]
     index = ObjectIndex(tree, random_objects(space, 10, seed=43))
     kern = NumpyKernels()
+    leaf_ids = {n.nid for n in tree.nodes if n.is_leaf}
+
+    def check_tag(tag, q):
+        assert type(tag) is int and tag > 0
+        leaves = mask_leaves(tag)
+        assert leaves <= leaf_ids
+        assert tree.leaf_node_of_partition[q.partition_id] in leaves
+
     for q in sample_points(space, 5, seed=3):
         for k in (1, 3, 25):
             py, np_ = QueryStats(), QueryStats()
@@ -123,7 +234,10 @@ def test_backends_capture_identical_leaf_balls(built, venue, kind):
                     collect_leaves=True)
             assert py.result_leaves == np_.result_leaves
             if k <= 10:  # enough objects: a real bound, a real tag
-                assert py.result_leaves is not None
+                check_tag(py.result_leaves, q)
+                check_tag(np_.result_leaves, q)
+            else:  # fewer than k answers: ALL
+                assert py.result_leaves is None
         for radius in (5.0, 40.0):
             py, np_ = QueryStats(), QueryStats()
             assert range_query(tree, index, q, radius, stats=py,
@@ -131,7 +245,8 @@ def test_backends_capture_identical_leaf_balls(built, venue, kind):
                 range_query(tree, index, q, radius, kernels=kern, stats=np_,
                             collect_leaves=True)
             assert py.result_leaves == np_.result_leaves
-            assert py.result_leaves is not None
+            check_tag(py.result_leaves, q)
+            check_tag(np_.result_leaves, q)
 
 
 # ----------------------------------------------------------------------
